@@ -135,14 +135,10 @@ class MachineConfig:
     # Multithreaded execution of DISE-called functions (paper Section 4,
     # "Multithreading DISE function calls"; evaluated in Figure 8).
     multithreaded_dise_calls: bool = False
-    # Run the pre-dispatch-table interpreter (kept for differential
-    # validation of the table-driven rewrite; scheduled for removal).
-    legacy_interpreter: bool = False
     # Interpreter tier: "table" (dispatch-table, the default), "legacy"
-    # (equivalent to legacy_interpreter=True), or "compiled" (basic
-    # blocks fused into generated Python closures; see
-    # repro.cpu.compiled).  legacy_interpreter=True wins over this
-    # field so existing call sites keep their meaning.
+    # (the if/elif reference interpreter the differential tests compare
+    # against), or "compiled" (basic blocks fused into generated Python
+    # closures; see repro.cpu.compiled).
     interpreter: str = "table"
     # Chain-loop visits before the compiled tier compiles a block at an
     # entry pc (see repro.cpu.compiled).  The default keeps large
@@ -158,11 +154,6 @@ class MachineConfig:
     def with_(self, **kwargs) -> "MachineConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
-
-    @property
-    def effective_interpreter(self) -> str:
-        """The interpreter tier that will actually run."""
-        return "legacy" if self.legacy_interpreter else self.interpreter
 
 
 def default_workers() -> int:

@@ -261,14 +261,10 @@ class CompiledTier:
         — including a stop or halt before the commit.
         """
         m = self.m
-        target = m.stats.app_instructions + 1
-        if self._timed:
-            m._run_table_timed(target)
-        else:
-            m._run_table_functional(target)
+        m._run_table(m.stats.app_instructions + 1)
 
     def run(self, limit: int) -> None:
-        """The compiled tier's top-level loop (mirrors _run_table_*)."""
+        """The compiled tier's top-level loop (mirrors Machine._run_table)."""
         m = self.m
         step = self._step
         while not m.halted:
@@ -311,10 +307,7 @@ class CompiledTier:
                         target = stats.app_instructions + COLD_CHUNK
                         if 0 <= limit < target:
                             target = limit
-                        if self._timed:
-                            m._run_table_timed(target)
-                        else:
-                            m._run_table_functional(target)
+                        m._run_table(target)
                         break  # outer loop revalidates stop/halt/stale
                     entry = self._compile(pc)
                     blocks[pc] = entry
@@ -330,10 +323,7 @@ class CompiledTier:
                     # entries — for every chunk boundary of a tail that
                     # executes only once per run() call.)
                     m.pc = pc
-                    if self._timed:
-                        m._run_table_timed(limit)
-                    else:
-                        m._run_table_functional(limit)
+                    m._run_table(limit)
                     break
                 pc = entry[0](m, regs, memory, stats, t, lim)
                 if m.text_version != tv:

@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 from repro.config import MachineConfig
 from repro.fuzz.generator import generate_spec
-from repro.fuzz.oracle import BACKENDS, _run_backend, _run_undebugged
+from repro.fuzz.oracle import BACKENDS, _run_spec
 
 GOLDEN_SEEDS = (1, 7, 23, 101, 4242)
 # Format 2: adds the compiled-interpreter rotation record
@@ -41,8 +41,8 @@ def compute_golden(seed: int,
                    config: Optional[MachineConfig] = None) -> dict:
     """The canonical record for ``seed`` (JSON-ready, key-sorted)."""
     spec = generate_spec(seed)
-    base = _run_undebugged(spec, config, "table")
-    debugged = _run_backend(spec, _REFERENCE_BACKEND, config, "table")
+    base = _run_spec(spec, config)
+    debugged = _run_spec(spec, config, "table", _REFERENCE_BACKEND)
     # Rotate the compiled interpreter through the backend matrix: each
     # pinned seed exercises it under a different backend (rotated by
     # position so the five golden seeds jointly cover all five
@@ -52,7 +52,7 @@ def compute_golden(seed: int,
                                     % len(BACKENDS)]
     else:
         compiled_backend = BACKENDS[seed % len(BACKENDS)]
-    compiled = _run_backend(spec, compiled_backend, config, "compiled")
+    compiled = _run_spec(spec, config, "compiled", compiled_backend)
     if base.error or debugged.error or compiled.error:
         raise RuntimeError(
             f"golden seed {seed} failed to run: "

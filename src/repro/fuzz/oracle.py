@@ -38,7 +38,8 @@ only append), so watched-variable reads need no translation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from repro.config import DEFAULT_CONFIG, MachineConfig
 from repro.cpu.machine import Machine, TrapEvent
@@ -47,7 +48,7 @@ from repro.debugger.backends import backend_class
 from repro.debugger.watchpoint import Breakpoint, Watchpoint
 from repro.fuzz.generator import (ProgramSpec, SCRATCH_QUADS, STACK_SLOTS,
                                   build_program, dynamic_budget)
-from repro.isa.program import STACK_TOP
+from repro.isa.program import Program, STACK_TOP
 
 BACKENDS = ("single_step", "virtual_memory", "hardware", "binary_rewrite",
             "dise")
@@ -191,12 +192,9 @@ INTERPRETERS = ("table", "legacy", "compiled")
 def _interp_config(base: Optional[MachineConfig], interp: str
                    ) -> MachineConfig:
     config = base or DEFAULT_CONFIG
-    legacy = interp == "legacy"
-    field = "compiled" if interp == "compiled" else "table"
-    if config.legacy_interpreter != legacy or config.interpreter != field:
-        config = replace(config, legacy_interpreter=legacy,
-                         interpreter=field)
-    if field == "compiled" and config.compiled_hot_threshold != 1:
+    if config.interpreter != interp:
+        config = replace(config, interpreter=interp)
+    if interp == "compiled" and config.compiled_hot_threshold != 1:
         # Generated programs are tiny; compile every block on first
         # visit so shrunk reproducers stay small and invalidation bugs
         # cannot hide behind warm-up heuristics.
@@ -222,23 +220,6 @@ def _final_state(spec: ProgramSpec, program, memory) -> tuple:
     return tuple(out)
 
 
-def _run_undebugged(spec: ProgramSpec, config: Optional[MachineConfig],
-                    interp: str = "table") -> RunOutcome:
-    name = f"undebugged/{interp}"
-    try:
-        program = build_program(spec)
-        machine = Machine(program, _interp_config(config, interp),
-                          detailed_timing=False)
-        run = machine.run(dynamic_budget(spec))
-        return RunOutcome(
-            name=name, halted=run.halted,
-            regs=tuple(machine.regs[r] for r in COMPARE_REGS),
-            state=_final_state(spec, program, machine.memory),
-            stats=run.stats.to_dict())
-    except Exception as exc:  # noqa: BLE001 - a crash IS the finding
-        return RunOutcome(name=name, error=f"{type(exc).__name__}: {exc}")
-
-
 def _build_points(spec: ProgramSpec) -> tuple[list[Watchpoint],
                                               list[Breakpoint]]:
     watchpoints, breakpoints = [], []
@@ -252,28 +233,58 @@ def _build_points(spec: ProgramSpec) -> tuple[list[Watchpoint],
     return watchpoints, breakpoints
 
 
-def _run_backend(spec: ProgramSpec, backend_name: str,
-                 config: Optional[MachineConfig],
-                 interp: str = "table") -> RunOutcome:
+def run_outcome(build: Callable[[], Program], budget: int,
+                read_state: Callable[[Program, object], tuple],
+                config: Optional[MachineConfig], interp: str = "table",
+                backend_name: Optional[str] = None,
+                points: Optional[Callable[[], tuple]] = None,
+                inject: Optional[str] = None) -> RunOutcome:
+    """Run one leg of a differential matrix and record its outcome.
+
+    ``build()`` makes a fresh program, which runs ``budget`` application
+    instructions functionally on the ``interp`` tier: undebugged when
+    ``backend_name`` is None, else under that backend with the
+    ``(watchpoints, breakpoints)`` pair ``points()`` returns.
+    ``read_state(program, memory)`` names the memory words every leg
+    must agree on.  Any exception becomes the outcome's ``error``.
+    """
     from repro.fuzz.inject import applied_injection
 
-    name = f"{backend_name}/{interp}"
+    name = f"{backend_name or 'undebugged'}/{interp}"
     try:
-        with applied_injection(spec.inject, backend_name):
-            program = build_program(spec)
-            watchpoints, breakpoints = _build_points(spec)
-            backend = backend_class(backend_name)(
-                program, watchpoints, breakpoints,
-                _interp_config(config, interp), detailed_timing=False)
-            recorder = StopRecorder(backend)
-            run = backend.run(dynamic_budget(spec))
+        with applied_injection(inject, backend_name):
+            program = build()
+            config = _interp_config(config, interp)
+            stops: tuple[Stop, ...] = ()
+            if backend_name is None:
+                machine = Machine(program, config, detailed_timing=False)
+                run = machine.run(budget)
+            else:
+                watchpoints, breakpoints = points()
+                backend = backend_class(backend_name)(
+                    program, watchpoints, breakpoints, config,
+                    detailed_timing=False)
+                recorder = StopRecorder(backend)
+                run = backend.run(budget)
+                machine = backend.machine
+                stops = tuple(recorder.stops)
         return RunOutcome(
-            name=name, halted=run.halted, stops=tuple(recorder.stops),
-            regs=tuple(backend.machine.regs[r] for r in COMPARE_REGS),
-            state=_final_state(spec, program, backend.machine.memory),
+            name=name, halted=run.halted, stops=stops,
+            regs=tuple(machine.regs[r] for r in COMPARE_REGS),
+            state=read_state(program, machine.memory),
             stats=run.stats.to_dict())
     except Exception as exc:  # noqa: BLE001 - a crash IS the finding
         return RunOutcome(name=name, error=f"{type(exc).__name__}: {exc}")
+
+
+def _run_spec(spec: ProgramSpec, config: Optional[MachineConfig],
+              interp: str = "table",
+              backend_name: Optional[str] = None) -> RunOutcome:
+    """:func:`run_outcome` for a generated spec."""
+    return run_outcome(partial(build_program, spec), dynamic_budget(spec),
+                       partial(_final_state, spec), config, interp,
+                       backend_name, partial(_build_points, spec),
+                       spec.inject)
 
 
 def _diff_stats(a: dict, b: dict) -> str:
@@ -366,7 +377,7 @@ def production_toggle_leg(spec: ProgramSpec,
     # budget: generated programs typically halt far below the budget,
     # and a window past the halt point would never exercise
     # reactivation at all.
-    probe = _run_undebugged(spec, config, "table")
+    probe = _run_spec(spec, config)
     if probe.error or not probe.halted:
         return []  # the main matrix reports this failure
     third = max(probe.stats["app_instructions"] // 3, 1)
@@ -495,7 +506,7 @@ def interrupt_leg(spec: ProgramSpec, backend_name: str = "dise",
     """
     from repro.fuzz.inject import applied_injection
 
-    probe = _run_undebugged(spec, config, "table")
+    probe = _run_spec(spec, config)
     if probe.error or not probe.halted:
         return []  # the main matrix reports this failure
     # Several preemptions per process, pinned across interpreters.
@@ -533,7 +544,7 @@ def interrupt_leg(spec: ProgramSpec, backend_name: str = "dise",
     # Preemption must not perturb the debugged process: pid 1's stops
     # and final state match a solo debugged run (stats legitimately
     # differ -- the neighbour's instructions are on the same machine).
-    solo = _run_backend(spec, backend_name, config, "table")
+    solo = _run_spec(spec, config, "table", backend_name)
     _compare(report, solo, outcomes[0], stats=False, stops=True)
     return report.divergences
 
@@ -649,7 +660,7 @@ def run_differential(spec: ProgramSpec,
     """
     report = OracleReport(seed=spec.seed)
 
-    base_table = _run_undebugged(spec, config, "table")
+    base_table = _run_spec(spec, config)
     if base_table.error:
         report.divergences.append(Divergence(
             "error", (base_table.name, base_table.name), base_table.error))
@@ -661,16 +672,16 @@ def run_differential(spec: ProgramSpec,
         return report
     for interp in INTERPRETERS[1:]:
         _compare(report, base_table,
-                 _run_undebugged(spec, config, interp),
+                 _run_spec(spec, config, interp),
                  stats=True, stops=False)
 
     reference: Optional[RunOutcome] = None
     for backend_name in backends:
-        table = _run_backend(spec, backend_name, config, "table")
+        table = _run_spec(spec, config, "table", backend_name)
         # Interpreter choice must be invisible per backend.
         for interp in INTERPRETERS[1:]:
             _compare(report, table,
-                     _run_backend(spec, backend_name, config, interp),
+                     _run_spec(spec, config, interp, backend_name),
                      stats=True, stops=True)
         if table.error:
             report.divergences.append(Divergence(

@@ -138,9 +138,7 @@ class CellSpec:
         """
         if interpreter is not None:
             config = (config or DEFAULT_CONFIG).with_(
-                legacy_interpreter=interpreter == "legacy",
-                interpreter=("compiled" if interpreter == "compiled"
-                             else "table"))
+                interpreter=interpreter)
         return cls(
             benchmark=benchmark,
             kind=kind,

@@ -34,14 +34,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from repro.config import MachineConfig
-from repro.cpu.machine import Machine
-from repro.debugger.backends import backend_class
 from repro.debugger.watchpoint import Watchpoint
 # Shared with the fuzz oracle by design: conformance applies the exact
 # comparison rules of the differential matrix to corpus workloads.
-from repro.fuzz.oracle import (BACKENDS, COMPARE_REGS, INTERPRETERS,
-                               Divergence, RunOutcome, StopRecorder,
-                               _compare, _interp_config)
+from repro.fuzz.oracle import (BACKENDS, INTERPRETERS, Divergence,
+                               RunOutcome, _compare, run_outcome)
 from repro.isa.program import Program
 from repro.workloads.corpus import Corpus, CorpusEntry, entry_for
 
@@ -96,42 +93,16 @@ def _named_state(program: Program, symbols: Sequence[str],
     return tuple(out)
 
 
-def _run_undebugged(entry: CorpusEntry, symbols: Sequence[str], interp: str,
-                    config: Optional[MachineConfig]) -> RunOutcome:
-    name = f"undebugged/{interp}"
-    try:
-        program = entry.build()
-        machine = Machine(program, _interp_config(config, interp),
-                          detailed_timing=False)
-        run = machine.run(entry.run_budget())
-        return RunOutcome(
-            name=name, halted=run.halted,
-            regs=tuple(machine.regs[r] for r in COMPARE_REGS),
-            state=_named_state(program, symbols, machine.memory),
-            stats=run.stats.to_dict())
-    except Exception as exc:  # noqa: BLE001 - a crash IS the finding
-        return RunOutcome(name=name, error=f"{type(exc).__name__}: {exc}")
-
-
-def _run_debugged(entry: CorpusEntry, symbols: Sequence[str],
-                  backend_name: str, interp: str,
-                  config: Optional[MachineConfig]) -> RunOutcome:
-    name = f"{backend_name}/{interp}"
-    try:
-        program = entry.build()
-        watchpoints = [Watchpoint.parse(entry.watch, None, 1)]
-        backend = backend_class(backend_name)(
-            program, watchpoints, [], _interp_config(config, interp),
-            detailed_timing=False)
-        recorder = StopRecorder(backend)
-        run = backend.run(entry.run_budget())
-        return RunOutcome(
-            name=name, halted=run.halted, stops=tuple(recorder.stops),
-            regs=tuple(backend.machine.regs[r] for r in COMPARE_REGS),
-            state=_named_state(program, symbols, backend.machine.memory),
-            stats=run.stats.to_dict())
-    except Exception as exc:  # noqa: BLE001 - a crash IS the finding
-        return RunOutcome(name=name, error=f"{type(exc).__name__}: {exc}")
+def _run_entry(entry: CorpusEntry, symbols: Sequence[str],
+               config: Optional[MachineConfig], interp: str,
+               backend_name: Optional[str] = None) -> RunOutcome:
+    """:func:`~repro.fuzz.oracle.run_outcome` for a corpus entry,
+    watching the entry's default target when debugged."""
+    return run_outcome(
+        entry.build, entry.run_budget(),
+        lambda program, memory: _named_state(program, symbols, memory),
+        config, interp, backend_name,
+        lambda: ([Watchpoint.parse(entry.watch, None, 1)], []))
 
 
 def _check_self(report: ConformanceReport, entry: CorpusEntry,
@@ -164,7 +135,7 @@ def check_entry(entry: Union[CorpusEntry, str], *,
     compare_stops = entry.source != "benchmark"
     interpreters = tuple(interpreters)
 
-    reference = _run_undebugged(entry, symbols, interpreters[0], config)
+    reference = _run_entry(entry, symbols, config, interpreters[0])
     report.runs += 1
     if reference.error:
         report.divergences.append(Divergence(
@@ -177,19 +148,19 @@ def check_entry(entry: Union[CorpusEntry, str], *,
         return report
     _check_self(report, entry, reference)
     for interp in interpreters[1:]:
-        other = _run_undebugged(entry, symbols, interp, config)
+        other = _run_entry(entry, symbols, config, interp)
         report.runs += 1
         _compare(report, reference, other, stats=True, stops=False)
 
     debugged_reference: Optional[RunOutcome] = None
     for backend_name in backends:
-        table = _run_debugged(entry, symbols, backend_name, interpreters[0],
-                              config)
+        table = _run_entry(entry, symbols, config, interpreters[0],
+                           backend_name)
         report.runs += 1
         # Interpreter choice must be invisible per backend.
         for interp in interpreters[1:]:
-            other = _run_debugged(entry, symbols, backend_name, interp,
-                                  config)
+            other = _run_entry(entry, symbols, config, interp,
+                               backend_name)
             report.runs += 1
             _compare(report, table, other, stats=True, stops=compare_stops)
         if table.error:

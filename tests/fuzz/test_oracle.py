@@ -4,7 +4,7 @@ import pytest
 
 from repro.fuzz.generator import (Block, BodyOp, DebugPoint, ProgramSpec,
                                   generate_spec)
-from repro.fuzz.oracle import (BACKENDS, Stop, _run_backend, interrupt_leg,
+from repro.fuzz.oracle import (BACKENDS, Stop, _run_spec, interrupt_leg,
                                run_differential)
 
 
@@ -34,7 +34,7 @@ def test_watch_stop_sequence_is_canonical():
     # iteration 2 re-stores 20 (a silent store): exactly one user stop.
     spec = manual_spec([DebugPoint("watch", "v0")])
     for backend in BACKENDS:
-        outcome = _run_backend(spec, backend, None, "table")
+        outcome = _run_spec(spec, None, "table", backend)
         assert outcome.error is None, (backend, outcome.error)
         assert outcome.stops == (Stop((), (("v0", 20),)),), backend
 
@@ -43,7 +43,7 @@ def test_break_stop_sequence_is_canonical():
     # The block_0 anchor runs once per outer iteration.
     spec = manual_spec([DebugPoint("break", "block_0")], iterations=3)
     for backend in BACKENDS:
-        outcome = _run_backend(spec, backend, None, "table")
+        outcome = _run_spec(spec, None, "table", backend)
         assert outcome.error is None, (backend, outcome.error)
         assert outcome.stops == (Stop((1,),),) * 3, backend
 

@@ -1,9 +1,13 @@
-"""The repro.api facade and the deprecation shims it supersedes."""
+"""The repro.api facade."""
+
+import warnings
 
 import pytest
 
 import repro
 from repro.api import debug, experiment, simulate
+from repro.cpu.machine import MachineRun
+from repro.debugger.session import Session
 from repro.errors import WorkloadError
 from repro.harness.cache import ResultCache
 from repro.harness.experiment import CellSpec
@@ -95,32 +99,12 @@ def test_facade_reexported_from_package_root():
     assert repro.RunResult is RunResult
 
 
-def test_debugsession_shim_warns():
-    with pytest.warns(DeprecationWarning, match="Session"):
-        session = repro.DebugSession(make_watch_loop(), backend="dise")
-    session.watch("hot")
-    result = session.run(max_app_instructions=2_000)
-    assert isinstance(result, RunResult)
-
-
-def test_run_undebugged_shim_warns():
-    from repro.debugger import session as session_module
-
-    with pytest.warns(DeprecationWarning, match="simulate"):
-        run = session_module.run_undebugged(make_watch_loop(),
-                                            max_app_instructions=100)
-    assert run.stats.app_instructions == 100
-
-
-def test_sessionresult_name_warns_and_is_runresult():
-    with pytest.warns(DeprecationWarning, match="RunResult"):
-        from repro.debugger.session import SessionResult
-    assert SessionResult is RunResult
-
-
-def test_machine_runresult_name_warns_and_is_machinerun():
-    from repro.cpu import machine
-
-    with pytest.warns(DeprecationWarning, match="MachineRun"):
-        old = machine.RunResult
-    assert old is machine.MachineRun
+def test_supported_spellings_do_not_warn(count_loop_program):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        session = Session(count_loop_program, backend="single_step")
+        session.watch("counter")
+        result = session.run()
+        assert result.halted
+        assert isinstance(result, RunResult)
+        assert isinstance(MachineRun(result.stats, True, False), MachineRun)

@@ -145,7 +145,7 @@ def test_transition_invariants_hold_on_random_programs(seed):
 # cycles — across every backend, plus recorded absolute expectations so
 # a simultaneous drift of both interpreters cannot slip through.
 
-LEGACY_CONFIG = MachineConfig(legacy_interpreter=True)
+LEGACY_CONFIG = MachineConfig(interpreter="legacy")
 TABLE_CONFIG = MachineConfig()
 
 
@@ -166,6 +166,34 @@ def test_dispatch_table_matches_legacy_interpreter(seed, backend):
     legacy = _backend_stats(seed, backend, LEGACY_CONFIG)
     table = _backend_stats(seed, backend, TABLE_CONFIG)
     assert legacy == table, (seed, backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", SEEDS[:5])
+def test_timing_model_is_invisible_to_semantics(seed, backend):
+    """The timing model only charges costs: a debugged table-tier run
+    with it attached ends in the same architectural state, with the same
+    counts, as one without.  Only the costs it adds (cycles and the
+    pipeline flushes of DISE calls) may differ."""
+    machines = []
+    for detailed_timing in (True, False):
+        session = Session(generate_program(seed).build(), backend=backend,
+                          config=TABLE_CONFIG,
+                          detailed_timing=detailed_timing)
+        session.watch("v0")
+        machine = session.build_backend().machine
+        machine.run(max_app_instructions=50_000)
+        machines.append(machine)
+    timed, functional = machines
+    assert timed.regs == functional.regs
+    assert timed.halted == functional.halted
+    assert timed.state_fingerprint() == functional.state_fingerprint()
+    costs = {"cycles", "dise_call_flushes"}
+    timed_stats = timed.stats.to_dict()
+    functional_stats = functional.stats.to_dict()
+    assert timed_stats.keys() == functional_stats.keys()
+    for name in timed_stats.keys() - costs:
+        assert timed_stats[name] == functional_stats[name], name
 
 
 @pytest.mark.parametrize("seed", SEEDS[:5])
