@@ -220,11 +220,12 @@ class Machine:
         self._kernel = None
 
         # DISE expansion state.
-        self._expansion: Optional[list[Instruction]] = None
+        self._expansion: Optional[tuple[Instruction, ...]] = None
         self._exp_index = 0
         self._trigger_pc = 0
         self._in_dise_function = False
-        self._dise_return: Optional[tuple[int, list[Instruction], int]] = None
+        self._dise_return: Optional[
+            tuple[int, tuple[Instruction, ...], int]] = None
         # Has the active expansion executed its store yet?  Gates the
         # store context attached to explicit trap delivery.
         self._expansion_did_store = False
@@ -233,10 +234,11 @@ class Machine:
         # it for the same fetch when the interactive run resumes.
         self._fetch_trap_resume_pc: Optional[int] = None
 
-        # Code-version counter: bumped by reload_text, patch_text, and
-        # self-modifying stores into text pages.  The compiled execution
-        # tier keys its block cache on it (plus the DISE engine's own
-        # version counter), so any code mutation drops compiled blocks.
+        # Code-version counter: bumped (via _bump_text_version) by
+        # reload_text, patch_text, and self-modifying stores into text
+        # pages.  The compiled execution tier keys its block cache on
+        # it, and every bump also drops the DISE engine's expansion
+        # memo, so any code mutation drops both.
         self.text_version = 0
         interp = self.config.interpreter
         if interp not in ("table", "legacy", "compiled"):
@@ -287,7 +289,7 @@ class Machine:
             inst.decoded = None
         self._text = new_text
         self._text_end = TEXT_BASE + INSTRUCTION_BYTES * len(new_text)
-        self.text_version += 1
+        self._bump_text_version()
         self.statement_pcs = frozenset(
             self.program.pc_of_index(i)
             for i in self.program.statement_starts)
@@ -304,7 +306,14 @@ class Machine:
             raise SimulationError(f"patch outside text: pc={pc:#x}")
         instruction.decoded = None
         self._text[index] = instruction
+        self._bump_text_version()
+
+    def _bump_text_version(self) -> None:
+        """The code changed: bump the version compiled blocks key on and
+        drop the DISE engine's memoized expansions (built from the old
+        instructions, possibly rewritten in place)."""
         self.text_version += 1
+        self.dise_engine.invalidate_expansions()
 
     def _note_text_store(self, ea: int, size: int) -> None:
         """A store overlapped the text region: invalidate cached decode
@@ -315,7 +324,7 @@ class Machine:
         subsequent ``patch_text``-style mutation cannot execute stale
         state.
         """
-        self.text_version += 1
+        self._bump_text_version()
         text = self._text
         first = (max(ea, self._text_base) - self._text_base) >> 2
         last = (min(ea + size, self._text_end) - 1 - self._text_base) >> 2
@@ -362,8 +371,6 @@ class Machine:
         machine contains plain data only and pickles cleanly — the
         harness persists such blobs as warm-start checkpoints.
         """
-        expansion = self._expansion
-        dise_return = self._dise_return
         return {
             "regs": list(self.regs),
             "pc": self.pc,
@@ -376,11 +383,11 @@ class Machine:
             "dise_controller": self.dise_controller.snapshot(),
             "timing": (self.timing.snapshot()
                        if self.timing is not None else None),
+            # Expansion tuples are immutable and shared with the DISE
+            # engine's memo: the blob keeps them by reference.
             "expansion": (
-                list(expansion) if expansion is not None else None,
-                self._exp_index, self._trigger_pc, self._in_dise_function,
-                ((dise_return[0], list(dise_return[1]), dise_return[2])
-                 if dise_return is not None else None),
+                self._expansion, self._exp_index, self._trigger_pc,
+                self._in_dise_function, self._dise_return,
                 self._expansion_did_store),
             "hw_watch_ranges": list(self.hw_watch_ranges),
             "breakpoint_registers": set(self.breakpoint_registers),
@@ -429,13 +436,9 @@ class Machine:
         self.dise_controller.restore(blob["dise_controller"])
         if self.timing is not None and blob["timing"] is not None:
             self.timing.restore(blob["timing"])
-        (expansion, self._exp_index, self._trigger_pc,
-         self._in_dise_function, dise_return,
+        (self._expansion, self._exp_index, self._trigger_pc,
+         self._in_dise_function, self._dise_return,
          self._expansion_did_store) = blob["expansion"]
-        self._expansion = list(expansion) if expansion is not None else None
-        self._dise_return = (
-            (dise_return[0], list(dise_return[1]), dise_return[2])
-            if dise_return is not None else None)
         self.hw_watch_ranges = list(blob["hw_watch_ranges"])
         self.breakpoint_registers = set(blob["breakpoint_registers"])
         self.single_step = blob["single_step"]

@@ -13,6 +13,22 @@ most specific matching production, or ``None`` when no pattern matches
 bucketing patterns by PC, codeword, and opclass so the common case (an
 instruction that cannot match anything) is a couple of dict probes.
 
+Like the hardware replacement table, which holds pre-decoded
+instructions, the engine expands each trigger PC once: the result (an
+immutable tuple, or ``None`` for no match) is memoized per PC together
+with the trigger instruction it was built from, and every later fetch
+of that same instruction replays the cached tuple — no matching, no
+template instantiation, and (because the machine caches each slot's
+decode on the instruction object) no re-decode.  The memo is dropped
+whenever the production set changes (:meth:`add`, :meth:`remove`,
+:meth:`clear`, hence :meth:`restore`) and whenever the machine bumps
+its code version (:meth:`invalidate_expansions`, called from
+``reload_text``, ``patch_text`` and stores into text), so it is exactly
+as coherent as the instructions' own ``decoded`` caches.  A hit also
+requires the fetched instruction to *be* the memoized trigger, so on a
+multi-process machine another process's instruction at the same PC is
+a miss, never a wrong hit.
+
 The engine itself knows nothing about DISEPC control flow — branch,
 call, and return semantics of replacement sequences are interpreted by
 the machine (:mod:`repro.cpu.machine`), just as the hardware engine only
@@ -44,10 +60,18 @@ class DiseEngine:
         self._order: dict[int, int] = {}
         self._next_order = 0
         self.enabled = True
-        # Bumped on every production install/remove/clear; consumers
-        # (the compiled execution tier's block cache) key cached state
-        # on it so any production-set mutation invalidates them.
+        # Bumped on every production install/remove/clear.  The
+        # expansion memo below is dropped at the same points; any other
+        # consumer can compare ``version`` to detect a production-set
+        # change.  (The compiled tier's block cache does not read it: it
+        # compares the production list and ``enabled`` directly.)
         self.version = 0
+        # Expansion memo: trigger pc -> (trigger Instruction, expansion
+        # tuple or None).  See the module docstring for its coherence
+        # rules; the tuples are shared by every dynamic instance, so
+        # nothing may mutate them.
+        self._memo: dict[int, tuple[Instruction,
+                                    Optional[tuple[Instruction, ...]]]] = {}
         self.expansions = 0
         self.instructions_inserted = 0
 
@@ -65,6 +89,7 @@ class DiseEngine:
         next (lowest) priority.  Returns the order assigned.
         """
         self.version += 1
+        self._memo.clear()
         if order is None:
             order = self._next_order
             self._next_order += 1
@@ -96,6 +121,7 @@ class DiseEngine:
         """Withdraw a production from all buckets; returns its install
         order so a later :meth:`add` can restore its match priority."""
         self.version += 1
+        self._memo.clear()
         self._productions.remove(production)
         for bucket in (self._by_pc, self._by_codeword):
             for plist in bucket.values():
@@ -111,6 +137,7 @@ class DiseEngine:
     def clear(self) -> None:
         """Remove every production."""
         self.version += 1
+        self._memo.clear()
         self._productions.clear()
         self._by_pc.clear()
         self._by_codeword.clear()
@@ -124,15 +151,36 @@ class DiseEngine:
 
     # -- expansion -------------------------------------------------------------
 
-    def expand(self, inst: Instruction, pc: int) -> Optional[list[Instruction]]:
+    def invalidate_expansions(self) -> None:
+        """Drop every memoized expansion (the machine's code changed)."""
+        self._memo.clear()
+
+    def expand(self, inst: Instruction,
+               pc: int) -> Optional[tuple[Instruction, ...]]:
         """Return the replacement sequence for ``inst``, or None.
 
         Chooses the most specific matching pattern; ties break toward the
         earliest-installed production (deterministic, like table order in
-        the hardware).
+        the hardware).  The result is memoized per trigger PC; a hit
+        returns the same tuple and still counts as an expansion.
         """
         if not self.enabled or not self._productions:
             return None
+        entry = self._memo.get(pc)
+        if entry is not None and entry[0] is inst:
+            expansion = entry[1]
+        else:
+            expansion = self._instantiate(inst, pc)
+            self._memo[pc] = (inst, expansion)
+        if expansion is None:
+            return None
+        self.expansions += 1
+        self.instructions_inserted += len(expansion) - 1
+        return expansion
+
+    def _instantiate(self, inst: Instruction,
+                     pc: int) -> Optional[tuple[Instruction, ...]]:
+        """Match ``inst`` and build its expansion, bypassing the memo."""
         state = (None, -1, 0)  # (best, best_score, best_order)
         candidates = self._by_pc.get(pc)
         if candidates:
@@ -149,10 +197,7 @@ class DiseEngine:
         best = state[0]
         if best is None:
             return None
-        self.expansions += 1
-        expansion = best.expand(inst, pc)
-        self.instructions_inserted += len(expansion) - 1
-        return expansion
+        return tuple(best.expand(inst, pc))
 
     def _best_match(self, candidates, inst, pc, state):
         best, best_score, best_order = state

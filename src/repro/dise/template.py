@@ -116,9 +116,12 @@ class TemplateInstruction:
     def instantiate(self, trigger: Instruction, pc: int = 0) -> Instruction:
         """Fill directives from ``trigger`` (fetched at ``pc``).
 
-        Instructions are immutable once executed, so literal slots reuse
-        one cached (pre-decoded) instance, and ``T.INST`` re-emits the
-        trigger itself.
+        :class:`~repro.dise.engine.DiseEngine` memoizes whole sequences
+        per trigger PC, so a slot is instantiated once per trigger until
+        the memo is invalidated, not on every dynamic expansion.
+        Instructions are immutable once executed, so literal slots
+        additionally reuse one cached (pre-decoded) instance across
+        every PC, and ``T.INST`` re-emits the trigger itself.
         """
         cached = self._cached
         if cached is not None:

@@ -170,8 +170,6 @@ class ProcessContext:
 
     def snapshot(self) -> dict:
         """Capture this (inactive) process's state as an opaque blob."""
-        expansion = self.expansion
-        dise_return = self.dise_return
         return {
             "regs": list(self.regs),
             "pc": self.pc,
@@ -184,11 +182,10 @@ class ProcessContext:
             "hw_watch_ranges": list(self.hw_watch_ranges),
             "breakpoint_registers": set(self.breakpoint_registers),
             "single_step": self.single_step,
+            # Immutable expansion tuples: kept by reference.
             "expansion": (
-                list(expansion) if expansion is not None else None,
-                self.exp_index, self.trigger_pc, self.in_dise_function,
-                ((dise_return[0], list(dise_return[1]), dise_return[2])
-                 if dise_return is not None else None),
+                self.expansion, self.exp_index, self.trigger_pc,
+                self.in_dise_function, self.dise_return,
                 self.expansion_did_store),
             "fetch_trap_resume_pc": self.fetch_trap_resume_pc,
             "last_store": (self.last_store_addr, self.last_store_size,
@@ -210,12 +207,9 @@ class ProcessContext:
         self.hw_watch_ranges = list(blob["hw_watch_ranges"])
         self.breakpoint_registers = set(blob["breakpoint_registers"])
         self.single_step = blob["single_step"]
-        (expansion, self.exp_index, self.trigger_pc, self.in_dise_function,
-         dise_return, self.expansion_did_store) = blob["expansion"]
-        self.expansion = list(expansion) if expansion is not None else None
-        self.dise_return = (
-            (dise_return[0], list(dise_return[1]), dise_return[2])
-            if dise_return is not None else None)
+        (self.expansion, self.exp_index, self.trigger_pc,
+         self.in_dise_function, self.dise_return,
+         self.expansion_did_store) = blob["expansion"]
         self.fetch_trap_resume_pc = blob["fetch_trap_resume_pc"]
         (self.last_store_addr, self.last_store_size,
          self.last_store_value) = blob["last_store"]

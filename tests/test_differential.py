@@ -19,8 +19,13 @@ from repro.config import MachineConfig
 from repro.cpu.machine import Machine
 from repro.cpu.stats import TransitionKind
 from repro.debugger import Session
+from repro.dise.pattern import Pattern
+from repro.dise.production import Production
+from repro.dise.template import T, original, template
 from repro.errors import UnsupportedWatchpointError
 from repro.isa.builder import CodeBuilder
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import dise_reg
 
 SEEDS = list(range(10))
 BACKENDS = ("single_step", "virtual_memory", "hardware", "binary_rewrite",
@@ -231,3 +236,51 @@ def test_recorded_seed_expectations(backend):
               stats.transitions[TransitionKind.USER],
               stats.spurious_transitions, stats.cycles)
     assert actual == expected, backend
+
+
+# -- templated replacement slots: legacy vs table -------------------------
+#
+# A codegen-style watch production (trigger; ``lda dr, T.IMM(T.RS1)``
+# address computation; quad-align; compare; ``d_ccall`` the handler) plus
+# a ``T.PC`` log.  Every static store instantiates its own sequence, so
+# this is the leg that polices per-trigger instantiation and the
+# engine's per-PC expansion memo on both interpreter paths.
+
+def _templated_watch_machine(seed, config):
+    builder = generate_program(seed)
+    builder.data_quad("hits", 0)
+    builder.label("on_hit")
+    builder.ldq("r13", "hits")
+    builder.addq("r13", 1, "r13")
+    builder.stq("r13", "hits")
+    builder.d_ret()
+    program = builder.build()
+    addr, flag, pcs = dise_reg(0), dise_reg(1), dise_reg(2)
+    production = Production(Pattern.stores(), [
+        original(),
+        template(Opcode.LDA, rd=addr, rs1=T.RS1, imm=T.IMM),
+        template(Opcode.BIC, rd=addr, rs1=addr, imm=7),
+        template(Opcode.CMPEQ, rd=flag, rs1=addr,
+                 imm=program.address_of("v0")),
+        template(Opcode.ADDQ, rd=pcs, rs1=pcs, imm=T.PC),
+        template(Opcode.D_CCALL, rs1=flag,
+                 target=program.pc_of_label("on_hit")),
+    ], name="templated-watch")
+    machine = Machine(program, config)
+    machine.dise_controller.install(production)
+    machine.run(max_app_instructions=50_000)
+    return program, machine
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_templated_production_legacy_matches_table(seed):
+    (program, legacy), (_, table) = (
+        _templated_watch_machine(seed, config)
+        for config in (LEGACY_CONFIG, TABLE_CONFIG))
+    assert legacy.state_fingerprint() == table.state_fingerprint()
+    assert legacy.regs == table.regs
+    assert legacy.stats == table.stats
+    assert table.halted
+    hits = table.memory.read_int(program.address_of("hits"), 8)
+    # Each handler call stores once, and its stores are not expanded.
+    assert table.stats.dise_expansions == table.stats.stores - hits > 0
