@@ -16,6 +16,7 @@ from __future__ import annotations
 
 _COUNTER_MAX = 3  # 2-bit saturating counters
 _TAKEN_THRESHOLD = 2
+_WEAKLY_TAKEN = bytes([2])
 
 
 class BranchPredictor:
@@ -29,9 +30,9 @@ class BranchPredictor:
             raise ValueError(f"BTB entries {btb_entries} not a power of two")
         self._mask = entries - 1
         # Weakly taken initial state keeps loop warm-up penalties small.
-        self._gshare = bytearray([2] * entries)
-        self._bimodal = bytearray([2] * entries)
-        self._chooser = bytearray([2] * entries)  # >=2 selects gshare
+        self._gshare = bytearray(_WEAKLY_TAKEN * entries)
+        self._bimodal = bytearray(_WEAKLY_TAKEN * entries)
+        self._chooser = bytearray(_WEAKLY_TAKEN * entries)  # >=2: gshare
         self._history = 0
         self._btb: dict[int, int] = {}
         self._btb_mask = btb_entries - 1
@@ -94,9 +95,9 @@ class BranchPredictor:
 
     def reset(self) -> None:
         """Forget all learned state and zero the counters."""
+        initial = _WEAKLY_TAKEN * (self._mask + 1)
         for table in (self._gshare, self._bimodal, self._chooser):
-            for i in range(len(table)):
-                table[i] = 2
+            table[:] = initial
         self._history = 0
         self._btb.clear()
         self._ras.clear()

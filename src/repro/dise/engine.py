@@ -60,12 +60,6 @@ class DiseEngine:
         self._order: dict[int, int] = {}
         self._next_order = 0
         self.enabled = True
-        # Bumped on every production install/remove/clear.  The
-        # expansion memo below is dropped at the same points; any other
-        # consumer can compare ``version`` to detect a production-set
-        # change.  (The compiled tier's block cache does not read it: it
-        # compares the production list and ``enabled`` directly.)
-        self.version = 0
         # Expansion memo: trigger pc -> (trigger Instruction, expansion
         # tuple or None).  See the module docstring for its coherence
         # rules; the tuples are shared by every dynamic instance, so
@@ -88,7 +82,6 @@ class DiseEngine:
         returned by :meth:`remove`); by default the production gets the
         next (lowest) priority.  Returns the order assigned.
         """
-        self.version += 1
         self._memo.clear()
         if order is None:
             order = self._next_order
@@ -120,7 +113,6 @@ class DiseEngine:
     def remove(self, production: Production) -> int:
         """Withdraw a production from all buckets; returns its install
         order so a later :meth:`add` can restore its match priority."""
-        self.version += 1
         self._memo.clear()
         self._productions.remove(production)
         for bucket in (self._by_pc, self._by_codeword):
@@ -136,7 +128,6 @@ class DiseEngine:
 
     def clear(self) -> None:
         """Remove every production."""
-        self.version += 1
         self._memo.clear()
         self._productions.clear()
         self._by_pc.clear()

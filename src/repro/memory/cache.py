@@ -2,8 +2,7 @@
 
 The timing model charges memory-access latency according to where an
 access hits: L1 (I$ or D$), the shared L2, or main memory.  Caches use
-true LRU within a set (associativities here are 2 and 4, so the linear
-scan is cheap).
+true LRU within a set.
 
 Only tags are modeled — the simulator's functional state lives in
 :class:`repro.memory.main_memory.MainMemory`; caches exist purely to
@@ -11,13 +10,31 @@ classify accesses for the timing model.  This is sufficient because the
 paper's cache-related effects (binary rewriting's instruction-cache
 bloat, load-port/D$ contention of expression-evaluating replacement
 sequences) are hit/miss phenomena, not coherence phenomena.
+
+**Tag-array layout.**  A cache's whole state is one flat list of
+``num_sets * associativity`` tags (line numbers) plus one trailing pad
+entry.  Set ``s`` owns the fixed slice ``[s * ways, (s + 1) * ways)``,
+kept in LRU order:
+
+* the most recently used tag comes first;
+* ``-1`` marks an empty way and appears only at a set's tail (every
+  fill enters at the front and shifts the set right by one, dropping
+  the last way), so line numbers — addresses are non-negative — never
+  collide with it.  The pad is always ``-1``.
+
+A hit on the MRU way touches nothing, a hit on the second way swaps
+the two, and any other access shifts the ways in front of the hit (or
+the whole set, on a miss) by one slice assignment.  ``snapshot``,
+``restore`` and ``reset`` each copy or rebuild that one list, so their
+cost and the number of Python objects a cache holds do not depend on
+the number of sets.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 
-from repro.config import CacheConfig, MachineConfig
+from repro.config import CacheConfig, MachineConfig, TlbConfig
 
 
 class AccessLevel(IntEnum):
@@ -31,54 +48,68 @@ class AccessLevel(IntEnum):
 class SetAssociativeCache:
     """A tag-only set-associative cache with LRU replacement."""
 
-    __slots__ = ("name", "config", "_sets", "_set_mask", "_line_shift",
-                 "hits", "misses")
+    __slots__ = ("name", "config", "_tags", "_ways", "_set_mask",
+                 "_line_shift", "hits", "misses")
 
     def __init__(self, config: CacheConfig, name: str = "cache"):
+        self._allocate(config, name, config.line_bytes)
+
+    def _allocate(self, config: CacheConfig | TlbConfig, name: str,
+                  block_bytes: int) -> None:
+        """Set up an empty tag array of ``block_bytes``-sized blocks."""
         self.name = name
         self.config = config
         num_sets = config.num_sets
         if num_sets & (num_sets - 1):
             raise ValueError(
                 f"{name}: number of sets {num_sets} is not a power of two")
-        self._sets: list[list[int]] = [[] for _ in range(num_sets)]
+        self._ways = config.associativity
+        # One trailing pad way keeps the second-way check of the last
+        # set in range when the cache is direct-mapped (it then reads
+        # the next set's first tag or the pad, neither of which can
+        # equal the line).
+        self._tags = [-1] * (num_sets * self._ways + 1)
         self._set_mask = num_sets - 1
-        self._line_shift = config.line_bytes.bit_length() - 1
+        self._line_shift = block_bytes.bit_length() - 1
         self.hits = 0
         self.misses = 0
-
-    def line_of(self, address: int) -> int:
-        """Line number containing ``address``."""
-        return address >> self._line_shift
 
     def access(self, address: int) -> bool:
         """Probe the cache; fill on miss.  Returns True on hit."""
         line = address >> self._line_shift
-        ways = self._sets[line & self._set_mask]
-        if ways and ways[0] == line:  # MRU fast path
+        tags = self._tags
+        ways = self._ways
+        base = (line & self._set_mask) * ways
+        if tags[base] == line:  # MRU fast path
             self.hits += 1
             return True
-        try:
-            ways.remove(line)
-        except ValueError:
+        if tags[base + 1] == line:  # second way: swap the two
+            tags[base + 1] = tags[base]
+            tags[base] = line
+            self.hits += 1
+            return True
+        end = base + ways
+        older = tags[base:end]
+        hit = line in older
+        if hit:
+            older.remove(line)
+            self.hits += 1
+        else:
+            del older[-1]  # evict the LRU way (or an empty one)
             self.misses += 1
-            ways.insert(0, line)
-            if len(ways) > self.config.associativity:
-                ways.pop()
-            return False
-        self.hits += 1
-        ways.insert(0, line)
-        return True
+        tags[base] = line
+        tags[base + 1:end] = older
+        return hit
 
     def probe(self, address: int) -> bool:
         """Check residency without updating state (for tests/tools)."""
         line = address >> self._line_shift
-        return line in self._sets[line & self._set_mask]
+        base = (line & self._set_mask) * self._ways
+        return line in self._tags[base:base + self._ways]
 
     def reset(self) -> None:
         """Empty the cache and zero the counters."""
-        for ways in self._sets:
-            ways.clear()
+        self._tags = [-1] * len(self._tags)
         self.hits = 0
         self.misses = 0
 
@@ -88,13 +119,13 @@ class SetAssociativeCache:
         self.misses = 0
 
     def snapshot(self) -> tuple:
-        """Capture cache contents and counters."""
-        return ([list(ways) for ways in self._sets], self.hits, self.misses)
+        """Capture the tag array (one copy) and the counters."""
+        return (tuple(self._tags), self.hits, self.misses)
 
     def restore(self, blob: tuple) -> None:
         """Reset the cache to a previous :meth:`snapshot`."""
-        sets, self.hits, self.misses = blob
-        self._sets = [list(ways) for ways in sets]
+        tags, self.hits, self.misses = blob
+        self._tags = list(tags)
 
     @property
     def accesses(self) -> int:
