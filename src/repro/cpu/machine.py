@@ -251,7 +251,9 @@ class Machine:
         # configured or enable_checkpoints() is called.
         self.checkpoint_store: Optional[CheckpointStore] = None
         self._checkpoint_interval = self.config.checkpoint_interval
-        self._checkpoint_fn: Callable[[], object] = self.snapshot
+        # None = self.snapshot (not stored: a bound method would make
+        # the machine a reference cycle, see _build_handler_table).
+        self._checkpoint_fn: Optional[Callable[[], object]] = None
         if self._checkpoint_interval > 0:
             self.checkpoint_store = CheckpointStore()
 
@@ -500,31 +502,39 @@ class Machine:
         return digest.hexdigest()
 
     def _build_handler_table(self) -> tuple:
-        """Bind the dispatch table: one handler per handler index,
-        shared by timed and functional runs."""
+        """The dispatch table: one handler per handler index, shared by
+        timed and functional runs.
+
+        It holds the class's plain functions, called with the machine as
+        their first argument.  Bound methods would tie every machine
+        into a reference cycle, which only the cyclic garbage collector
+        breaks, so a finished machine (memory, caches, program) would
+        outlive its last reference by up to a full collection.
+        """
+        cls = type(self)
         table: list = [None] * NUM_HANDLERS
-        table[H_ALU_LDA] = self._h_alu_lda
-        table[H_ALU_MOV] = self._h_alu_mov
-        table[H_ALU_IMM] = self._h_alu_imm
-        table[H_ALU_REG] = self._h_alu_reg
-        table[H_LOAD] = self._h_load
-        table[H_STORE] = self._h_store
-        table[H_BRANCH] = self._h_branch
-        table[H_JUMP_BR] = self._h_jump_br
-        table[H_JUMP_JSR] = self._h_jump_jsr
-        table[H_JUMP_RET] = self._h_jump_ret
-        table[H_JUMP_JMP] = self._h_jump_jmp
-        table[H_TRAP] = self._h_trap
-        table[H_CTRAP] = self._h_ctrap
-        table[H_DISE_BRANCH] = self._h_dise_branch
-        table[H_DISE_CALL] = self._h_dise_call
-        table[H_DISE_RET] = self._h_dise_ret
-        table[H_DISE_MOVE] = self._h_dise_move
-        table[H_NOP] = self._h_nop
-        table[H_HALT] = self._h_halt
-        table[H_CODEWORD] = self._h_codeword
-        table[H_SYSCALL] = self._h_syscall
-        table[H_ERET] = self._h_eret
+        table[H_ALU_LDA] = cls._h_alu_lda
+        table[H_ALU_MOV] = cls._h_alu_mov
+        table[H_ALU_IMM] = cls._h_alu_imm
+        table[H_ALU_REG] = cls._h_alu_reg
+        table[H_LOAD] = cls._h_load
+        table[H_STORE] = cls._h_store
+        table[H_BRANCH] = cls._h_branch
+        table[H_JUMP_BR] = cls._h_jump_br
+        table[H_JUMP_JSR] = cls._h_jump_jsr
+        table[H_JUMP_RET] = cls._h_jump_ret
+        table[H_JUMP_JMP] = cls._h_jump_jmp
+        table[H_TRAP] = cls._h_trap
+        table[H_CTRAP] = cls._h_ctrap
+        table[H_DISE_BRANCH] = cls._h_dise_branch
+        table[H_DISE_CALL] = cls._h_dise_call
+        table[H_DISE_RET] = cls._h_dise_ret
+        table[H_DISE_MOVE] = cls._h_dise_move
+        table[H_NOP] = cls._h_nop
+        table[H_HALT] = cls._h_halt
+        table[H_CODEWORD] = cls._h_codeword
+        table[H_SYSCALL] = cls._h_syscall
+        table[H_ERET] = cls._h_eret
         return tuple(table)
 
     # -- register helpers -----------------------------------------------------
@@ -702,7 +712,8 @@ class Machine:
             app = stats.app_instructions
             if boundary >= 0 and app >= boundary \
                     and self.pending_trap is None:
-                store.add(Checkpoint(app, self._checkpoint_fn()))
+                snapshot = self._checkpoint_fn or self.snapshot
+                store.add(Checkpoint(app, snapshot()))
             if self.pending_trap is not None:
                 break
             if 0 <= deadline <= app:
@@ -734,7 +745,7 @@ class Machine:
             raise ValueError(f"checkpoint interval {interval} must be > 0")
         self._checkpoint_interval = interval
         self.checkpoint_store = store if store is not None else CheckpointStore()
-        self._checkpoint_fn = snapshot_fn or self.snapshot
+        self._checkpoint_fn = snapshot_fn
         return self.checkpoint_store
 
     def _run_table(self, limit: int) -> None:
@@ -829,7 +840,7 @@ class Machine:
                 stats.app_instructions += 1
             if timing is not None:
                 timing.commit()
-            handlers[d.handler_index](inst, d, is_dise)
+            handlers[d.handler_index](self, inst, d, is_dise)
 
     # -- dispatch-table handlers ------------------------------------------------
     #

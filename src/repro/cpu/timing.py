@@ -84,11 +84,13 @@ class TimingModel:
         self._last_fetch_page = -1
         self._last_data_page = -1
 
-        # commit() runs once per retired instruction; single-threaded
-        # configurations never enter off-thread mode, so bind the
-        # variant without that test.
-        if not self.multithreaded:
-            self.commit = self._commit_singlethreaded
+        # commit() runs once per retired instruction; only multithreaded
+        # configurations enter off-thread mode, so only they bind the
+        # variant with that test.  (A method bound on the instance is a
+        # reference cycle, which frees the model only at a cyclic
+        # garbage collection; the common configuration avoids it.)
+        if self.multithreaded:
+            self.commit = self._commit_multithreaded
 
     # -- cycle bookkeeping -------------------------------------------------
 
@@ -108,22 +110,27 @@ class TimingModel:
     # -- per-instruction events ----------------------------------------------
 
     def commit(self) -> None:
-        """One instruction retires, consuming a commit slot."""
-        if self.offthread and self.multithreaded:
-            return
-        self._slots += 1
-        if self._slots >= self._width:
-            self._next_cycle()
+        """One instruction retires, consuming a commit slot.
 
-    def _commit_singlethreaded(self) -> None:
-        """commit() with the off-thread test and the _next_cycle call
-        folded away (bound over ``commit`` when not multithreaded)."""
+        The single-threaded form, with ``_next_cycle`` folded in;
+        multithreaded configurations bind :meth:`_commit_multithreaded`
+        over it.
+        """
         self._slots += 1
         if self._slots >= self._width:
             self.cycles += 1.0
             self._slots = 0
             self._loads_this_cycle = 0
             self._stores_this_cycle = 0
+
+    def _commit_multithreaded(self) -> None:
+        """commit() when instructions may retire off-thread (on a spare
+        thread context, consuming no slot of this one)."""
+        if self.offthread:
+            return
+        self._slots += 1
+        if self._slots >= self._width:
+            self._next_cycle()
 
     def fetch(self, pc: int) -> None:
         """A conventional instruction is fetched at ``pc``.

@@ -116,6 +116,8 @@ class BinaryRewriteBackend(DebuggerBackend):
         self._instrumentation_pcs = instrumentation
 
         # Pass 3: retarget branches/calls of *original* instructions.
+        # Those records are shared with the unrewritten program (see
+        # Program.copy), so a moved target goes into a private copy.
         pc_map = {
             TEXT_BASE + INSTRUCTION_BYTES * old_i:
                 TEXT_BASE + INSTRUCTION_BYTES * new_i
@@ -127,8 +129,11 @@ class BinaryRewriteBackend(DebuggerBackend):
                 current_pc = TEXT_BASE + INSTRUCTION_BYTES * new_i
                 if self._inside_site(current_pc, emitted_site_pcs):
                     continue  # inline-check internal branch: already final
-                if inst.target in pc_map:
-                    inst.target = pc_map[inst.target]
+                target = pc_map.get(inst.target, inst.target)
+                if target != inst.target:
+                    moved = inst.copy()
+                    moved.target = target
+                    new_instructions[new_i] = moved
 
         # Pass 4: remap labels and statement boundaries.
         program.labels = {name: new_index_of[idx]

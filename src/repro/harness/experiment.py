@@ -353,6 +353,10 @@ def execute_spec(spec: CellSpec,
         debugged.machine.run(settings.warmup_instructions)
     debugged.machine.reset_stats()
     result = debugged.machine.run(settings.measure_instructions)
+    # Detach the debugger: its trap handler (a backend method) and the
+    # backend's machine form a cycle that would keep the finished cell's
+    # machine alive until the cyclic garbage collector runs.
+    debugged.machine.trap_handler = None
     baseline = run_baseline(spec.benchmark, settings)
     stats = result.stats
     return RunResult(

@@ -9,6 +9,10 @@ cache hits, aggregate simulated instructions per second, ETA) and is
 written straight back to the cache, so an interrupted grid loses only
 its in-flight cells.
 
+Cache misses run grouped by workload (first-appearance order), so a
+workload's cells run back to back and share the one program
+:func:`~repro.workloads.corpus.build_workload` keeps.
+
 Worker crashes are survived: a cell whose worker dies (or whose pool
 breaks) is resubmitted to a fresh pool up to ``retries`` extra times
 before being recorded as a failed cell — the grid always completes.
@@ -39,6 +43,21 @@ def _execute_remote(spec: CellSpec,
                     settings: ExperimentSettings) -> RunResult:
     """Worker-process entry point (workers never touch the cache)."""
     return execute_spec(spec, settings)
+
+
+def _grouped_by_workload(todo: list) -> list:
+    """``todo`` with each workload's cells together.
+
+    Groups keep first-appearance order and cells keep their order
+    inside a group, so cells of one workload run back to back and
+    reuse the program :func:`~repro.workloads.corpus.build_workload`
+    keeps from the group's first build.  Results are placed by index,
+    so callers still get them in spec order.
+    """
+    groups: dict[str, list] = {}
+    for item in todo:
+        groups.setdefault(item[1].benchmark, []).append(item)
+    return [item for group in groups.values() for item in group]
 
 
 @dataclass
@@ -119,6 +138,7 @@ class Runner:
             else:
                 misses.append((index, spec, key))
 
+        misses = _grouped_by_workload(misses)
         if misses and settings.warm_start:
             report.prefixes = self._ensure_warm_prefixes(
                 [spec for _, spec, _ in misses], settings)

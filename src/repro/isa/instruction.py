@@ -22,9 +22,14 @@ MISC, DISE_RET  none
 ==============  ======================================================
 
 ``target`` may be a label string before assembly resolution, or an
-absolute PC afterwards.  Instructions should be treated as immutable
-once built; the assembler mutates ``target`` during its second pass
-only.
+absolute PC afterwards.  Symbol resolution (:meth:`Program.finalize
+<repro.isa.program.Program.finalize>`) is the last write to a record's
+operands: a finalized record is immutable except for its ``decoded``
+cache, because :meth:`Program.copy <repro.isa.program.Program.copy>`
+shares records between programs and so between machines.  Any holder
+may drop ``decoded`` (``Machine.reload_text``, ``patch_text`` and
+stores into text do), since re-decoding is pure; code that needs
+different operands replaces the slot with :meth:`Instruction.copy`.
 """
 
 from __future__ import annotations
@@ -62,7 +67,12 @@ class Decoded:
 
 
 class Instruction:
-    """One machine instruction."""
+    """One machine instruction.
+
+    Immutable once its program is finalized, except for the
+    ``decoded`` cache (see the module docstring): finalized records are
+    shared between program copies.
+    """
 
     __slots__ = ("opcode", "rd", "rs1", "rs2", "imm", "target", "info",
                  "decoded")
@@ -108,7 +118,11 @@ class Instruction:
         return self.info.mem_size
 
     def copy(self) -> "Instruction":
-        """Return a shallow copy (used by rewriting and templates)."""
+        """A fresh, undecoded record with the same operands.
+
+        The way to change a shared, finalized record: rewriting passes
+        and templates copy it and change the copy.
+        """
         return Instruction(self.opcode, self.rd, self.rs1, self.rs2,
                            self.imm, self.target)
 

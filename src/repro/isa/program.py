@@ -69,7 +69,14 @@ class Symbol:
 
 
 class Program:
-    """An assembled program ready to be loaded into a machine."""
+    """An assembled program ready to be loaded into a machine.
+
+    Once :meth:`finalize` has resolved them, the program's
+    :class:`Instruction` records may be shared by several programs
+    (:meth:`copy`), and so by several machines: a finalized record is
+    immutable except for its ``decoded`` cache.  Everything mutable per
+    program lives in the containers, which every copy owns privately.
+    """
 
     def __init__(
         self,
@@ -228,16 +235,29 @@ class Program:
         return DATA_BASE, self._data_cursor
 
     def copy(self) -> "Program":
-        """Deep-ish copy: fresh instruction objects, shared metadata values.
+        """A private program sharing this one's instruction records.
 
-        Used by the binary-rewriting backend, which must transform the
-        static image without perturbing the original program.
+        The copy gets fresh containers (the instruction list, ``labels``,
+        ``symbols``, ``data_items`` and ``statement_starts``), so
+        appending code or data to it, or replacing a text slot, never
+        shows through to the original or to another copy.  The
+        :class:`Instruction` objects themselves are shared: a copy
+        allocates no instruction and repeats no decode.
+
+        That is safe because a finalized record is immutable except for
+        its ``decoded`` cache, which any holder may drop (re-decoding is
+        pure).  Code that wants to change a record's operands must
+        replace the slot with ``inst.copy()`` and change that, as the
+        binary rewriter does when it retargets branches.  Records of a
+        program that was never finalized may still have symbolic
+        operands to resolve, so those are copied.
         """
         clone = Program(
-            (inst.copy() for inst in self.instructions),
-            labels=dict(self.labels),
-            data_items=list(self.data_items),
-            statement_starts=set(self.statement_starts),
+            (self.instructions if self._finalized
+             else [inst.copy() for inst in self.instructions]),
+            labels=self.labels,
+            data_items=self.data_items,
+            statement_starts=self.statement_starts,
             entry=self.entry,
             name=self.name,
         )

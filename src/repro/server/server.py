@@ -130,6 +130,7 @@ class DebugServer:
         self._session_counter = itertools.count(1)
         self._server: Optional[asyncio.base_events.Server] = None
         self._state_file: Optional[Path] = None
+        self._connections: set[asyncio.Task] = set()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -157,9 +158,17 @@ class DebugServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Close the listener, shut shards down, drop the state file."""
+        """Close the listener, end every connection handler, shut shards
+        down, drop the state file."""
         if self._server is not None:
             self._server.close()
+            # A handler can stay parked in readline after its client has
+            # closed: a process shard forked while the client was
+            # connected holds a copy of the socket, so no EOF arrives.
+            # Cancel and await every handler while the loop still runs.
+            for task in self._connections:
+                task.cancel()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
         for shard in self.shards:
             shard.shutdown()
@@ -189,6 +198,8 @@ class DebugServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             await self._serve_connection(reader, writer)
         except asyncio.CancelledError:
@@ -197,6 +208,7 @@ class DebugServer:
             # otherwise logged by asyncio.streams as an error).
             pass
         finally:
+            self._connections.discard(task)
             # close() is fire-and-forget on purpose: awaiting
             # wait_closed() here leaves the handler task parked when
             # the loop shuts down.

@@ -9,8 +9,6 @@ the synthetic programs' watch targets.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.errors import WorkloadError
 from repro.isa.program import Program
 from repro.workloads.profiles import PROFILES, profile_for
@@ -49,7 +47,7 @@ def resolve_program(program) -> tuple[Program, str]:
     unifies: a :class:`Program` instance, a benchmark name, a promoted
     fuzz spec (``gen:<seed>``), a ``.s`` file path (or corpus workload
     stem), or a :class:`~repro.workloads.corpus.CorpusEntry`.  Strings
-    build a fresh, private instance via
+    build a private instance via
     :func:`~repro.workloads.corpus.build_workload`.
     """
     # Lazy: the corpus module pulls in the fuzz generator.
@@ -65,22 +63,6 @@ def resolve_program(program) -> tuple[Program, str]:
         f"expected a Program, a CorpusEntry, or a workload name "
         f"(benchmark, 'gen:<seed>', or .s path), "
         f"got {type(program).__name__}")
-
-
-@lru_cache(maxsize=None)
-def _cached_benchmark(name: str) -> Program:
-    return build_benchmark(name)
-
-
-def shared_benchmark(name: str) -> Program:
-    """A cached instance, for read-only uses (expression resolution).
-
-    Runs mutate machine memory, not the program, and backends that
-    transform the program copy it first — but callers that append to
-    the program (a DISE/rewrite session) should use
-    :func:`build_benchmark` for a private instance.
-    """
-    return _cached_benchmark(name)
 
 
 def watch_expression(kind: str) -> str:

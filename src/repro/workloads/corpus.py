@@ -14,7 +14,7 @@ regardless of where the program comes from:
   deterministically from the seed.
 
 Entry names are *self-resolving*: :func:`build_workload` turns any
-entry name back into a fresh :class:`~repro.isa.program.Program` with
+entry name back into a private :class:`~repro.isa.program.Program` with
 no other state, which is what lets a
 :class:`~repro.harness.experiment.CellSpec` carry a corpus workload
 into worker processes as a plain string.  Each entry also carries the
@@ -77,38 +77,76 @@ def load_program_file(path: Union[str, Path]) -> Program:
     invisible to single-step but seen by every trapping backend.
     """
     path = Path(path)
+    return _assemble_file(path, _read_source(path))
+
+
+def _read_source(path: Path) -> bytes:
     try:
-        source = path.read_text()
+        return path.read_bytes()
     except OSError as exc:
         raise WorkloadError(f"cannot read program file {path}: {exc}")
-    program = assemble(source, name=path.stem)
+
+
+def _assemble_file(path: Path, source: bytes) -> Program:
+    program = assemble(source.decode(), name=path.stem)
     program.statement_starts = set(range(len(program.instructions)))
     return program
 
 
+#: ``(key, program)`` of the most recently built workload: the one
+#: program :func:`build_workload` keeps (see there).
+_last_build: Optional[tuple[object, Program]] = None
+
+
 def build_workload(name: str) -> Program:
-    """Build a fresh :class:`Program` for any corpus-resolvable name.
+    """Build a private :class:`Program` for any corpus-resolvable name.
 
     Accepted forms, in resolution order:
 
-    * a benchmark name (``"gcc"``) — a fresh synthetic instance;
+    * a benchmark name (``"gcc"``) — the synthetic instance;
     * ``gen:<seed>`` — the canonical rendering of the fuzz spec for
       that seed;
     * a ``.s`` path, or the stem of a file under :func:`programs_dir`.
 
-    Always returns a private instance (debug sessions append to their
-    program).  Raises :class:`~repro.errors.WorkloadError` for names
-    that resolve nowhere.
+    The most recently built program is kept in one slot, and every call
+    returns a :meth:`~repro.isa.program.Program.copy` of it, never the
+    kept program itself.  So the cells of one workload, run back to
+    back, build it once; each gets private containers (debug sessions
+    append to their program) over the shared, immutable instruction
+    records.  The slot's key is the name for benchmark and ``gen:``
+    workloads, and the resolved path plus the source bytes for ``.s``
+    files, so an edited file or a changed ``REPRO_PROGRAMS_DIR``
+    rebuilds.  One slot, not a memo of every workload: a process
+    retains at most one built program, whatever it sweeps.
+
+    Raises :class:`~repro.errors.WorkloadError` for names that resolve
+    nowhere.
     """
+    global _last_build
+    key, build = _workload_builder(name)
+    # Read the slot once: key and program are stored as one tuple, so a
+    # racing thread can cost a rebuild but never hand out the wrong
+    # program.
+    slot = _last_build
+    if slot is None or slot[0] != key:
+        slot = _last_build = (key, build())
+    return slot[1].copy()
+
+
+def _workload_builder(name: str):
+    """``(slot key, build function)`` for one workload name."""
     if name in PROFILES:
         from repro.workloads.benchmarks import build_benchmark
 
-        return build_benchmark(name)
+        return name, lambda: build_benchmark(name)
     if name.startswith(GENERATED_PREFIX):
-        return build_program(generate_spec(_generated_seed(name)))
+        seed = _generated_seed(name)
+        return name, lambda: build_program(generate_spec(seed))
     path = Path(name) if name.endswith(".s") else programs_dir() / f"{name}.s"
     if path.is_file():
-        return load_program_file(path)
+        source = _read_source(path)
+        return ((str(path.resolve()), source),
+                lambda: _assemble_file(path, source))
     raise WorkloadError(
         f"unknown workload {name!r}: not a benchmark "
         f"({', '.join(sorted(PROFILES))}), not '{GENERATED_PREFIX}<seed>', "
@@ -146,7 +184,7 @@ class CorpusEntry:
     self_checking: bool = False
 
     def build(self) -> Program:
-        """A fresh program instance (sessions may append to it)."""
+        """A private program instance (sessions may append to it)."""
         return build_workload(self.name)
 
     def run_budget(self) -> int:
@@ -222,10 +260,13 @@ def promote_spec(spec: ProgramSpec) -> CorpusEntry:
     spec from the seed alone — a shrunk or hand-edited spec would
     silently rebuild as a different program.  The spec's rendering
     must therefore match the seed's canonical rendering bit for bit.
+    Generation is deterministic, so the seed's own spec is canonical
+    without rendering it twice; any other spec is compared by digest.
     """
-    program = build_program(spec)
-    canonical = build_program(generate_spec(spec.seed))
-    if program.content_digest() != canonical.content_digest():
+    digest = build_program(spec).content_digest()
+    canonical = generate_spec(spec.seed)
+    if (spec != canonical
+            and digest != build_program(canonical).content_digest()):
         raise WorkloadError(
             f"spec for seed {spec.seed} is not seed-reproducible (shrunk "
             f"or edited?); only generate_spec({spec.seed}) renderings can "
@@ -233,8 +274,7 @@ def promote_spec(spec: ProgramSpec) -> CorpusEntry:
     watch = (spec.watch_vars or sorted(spec.var_init) or ["checksum"])[0]
     return CorpusEntry(
         name=f"{GENERATED_PREFIX}{spec.seed}", source="generated",
-        digest=program.content_digest(), watch=watch,
-        budget=dynamic_budget(spec))
+        digest=digest, watch=watch, budget=dynamic_budget(spec))
 
 
 def entry_for(name: str) -> CorpusEntry:

@@ -96,12 +96,34 @@ def test_appended_code_can_reference_data_symbols():
 
 
 def test_copy_is_independent():
+    """A copy owns its containers and shares the finalized records,
+    which are changed by replacing the slot with a copy."""
     program = _simple_program()
     clone = program.copy()
-    clone.instructions[0].rd = 9
+    assert clone.instructions[0] is program.instructions[0]
+    moved = clone.instructions[0].copy()
+    moved.rd = 9
+    clone.instructions[0] = moved
     clone.labels["extra"] = 0
+    clone.statement_starts.add(99)
+    clone.append_data("extra_var", 8)
     assert program.instructions[0].rd == 1
     assert "extra" not in program.labels
+    assert 99 not in program.statement_starts
+    assert "extra_var" not in program.symbols
+    assert len(program.data_items) == len(clone.data_items) - 1
+
+
+def test_copy_of_unfinalized_program_copies_records():
+    """Symbolic operands are resolved in place by finalize(), so an
+    unfinalized program's records are not shared with its copies."""
+    program = Program([Instruction(Opcode.BR, target="end"),
+                       Instruction(Opcode.HALT)], labels={"end": 1})
+    clone = program.copy()
+    clone.labels["end"] = 0
+    clone.finalize()
+    assert clone.instructions[0] is not program.instructions[0]
+    assert program.instructions[0].target == "end"
 
 
 def test_copy_preserves_symbols_and_statements():

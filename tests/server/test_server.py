@@ -333,3 +333,48 @@ def test_experiment_retries_once_after_crash(tmp_path):
                 assert reply["result"]["backend"] == "dise"
 
     run_async(scenario())
+
+
+# -- shutdown with a parked connection handler ------------------------------
+
+
+@pytest.mark.parametrize("shards", ["threads", "processes"])
+def test_stop_after_close_without_shutdown_is_silent(tmp_path, capfd,
+                                                     monkeypatch, shards):
+    """A client that closes without ``socket.shutdown`` while another
+    copy of its socket stays open sends no EOF, so its handler stays
+    parked in ``readline``.  Stopping the server must end that handler
+    quietly: nothing on stderr, nothing through the loop's exception
+    handler, no unraisable exception.
+
+    With process shards the copy is the real one: the shard forks when
+    the first session opens and inherits the client's socket.  With
+    thread shards the test holds a duplicate descriptor itself.
+    """
+    import gc
+    import os
+    import sys
+
+    from repro.server.client import DebugClient
+    from repro.server.server import ServerThread
+
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    handled = []
+    config = thread_config(tmp_path, workers=1,
+                           use_processes=shards == "processes")
+    with ServerThread(config) as thread:
+        thread._loop.call_soon_threadsafe(
+            thread._loop.set_exception_handler,
+            lambda loop, context: handled.append(context))
+        client = DebugClient("127.0.0.1", thread.port)
+        client.open_session(asm=count_asm(10))
+        duplicate = (os.dup(client._sock.fileno())
+                     if shards == "threads" else None)
+        client.close()
+    if duplicate is not None:
+        os.close(duplicate)
+    gc.collect()
+    assert handled == []
+    assert unraisable == []
+    assert capfd.readouterr().err == ""
